@@ -20,10 +20,13 @@ race:
 	$(GO) test -race ./...
 
 # The pre-commit gate: vet plus the test suite in a shuffled order, which
-# catches inter-test state leaks that a fixed order hides.
+# catches inter-test state leaks that a fixed order hides, plus the
+# benchmark module (perfbench/, its own go.mod), which builds against the
+# service and core APIs and so breaks when they change.
 check:
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Durability suite under the race detector: torn-log repair, flush-policy
 # visibility, checkpoint truncation, and the resume-equals-uninterrupted

@@ -677,9 +677,10 @@ func (c *Coordinator) Healthz() Health {
 	return h
 }
 
-// Lease implements WorkerAPI for in-process workers.
-func (c *Coordinator) Lease(_ context.Context, workerID string) (*Lease, error) {
-	return c.sched.Lease(workerID)
+// Lease implements WorkerAPI for in-process workers. With the queue empty
+// it waits for work on ctx, at most one JanitorInterval (then ErrNoWork).
+func (c *Coordinator) Lease(ctx context.Context, workerID string) (*Lease, error) {
+	return c.sched.leaseWait(ctx, workerID, c.cfg.JanitorInterval)
 }
 
 // Heartbeat implements WorkerAPI.
@@ -687,7 +688,7 @@ func (c *Coordinator) Heartbeat(_ context.Context, leaseID string, token uint64)
 	return c.sched.Heartbeat(leaseID, token)
 }
 
-// Complete implements WorkerAPI.
+// Complete implements WorkerAPI: one run per call, in process.
 func (c *Coordinator) Complete(_ context.Context, leaseID string, token uint64, res RunResult) error {
 	return c.sched.Complete(leaseID, token, res)
 }
@@ -751,6 +752,7 @@ func (c *Coordinator) Kill() {
 	c.mu.Lock()
 	c.killed = true
 	c.mu.Unlock()
+	c.sched.setDraining(true)
 	c.rootCancel()
 	c.wg.Wait()
 	c.janitorWG.Wait()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -19,9 +20,12 @@ import (
 //	GET  /campaigns                 list campaign statuses
 //	GET  /campaigns/{id}            one campaign's status
 //	GET  /campaigns/{id}/result.csv the durable tidy-data row log
-//	POST /lease                     {"worker": ...} → Lease (204 = no work)
+//	POST /lease                     {"worker": ...} → Lease; waits up to one
+//	                                JanitorInterval for work (204 = none)
 //	POST /leases/{id}/heartbeat     {"token": ...}
-//	POST /leases/{id}/complete      {"token": ..., "result": RunResult}
+//	POST /leases/{id}/complete      {"token": ..., "results": [RunResult...]}
+//	                                some or all of the lease's runs, taken
+//	                                under one scheduler lock
 //	GET  /healthz                   Health snapshot
 //	GET  /metrics                   Prometheus exposition (when a Registry
 //	                                is configured)
@@ -114,15 +118,12 @@ func Handler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("POST /leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Token  uint64    `json:"token"`
-			Result RunResult `json:"result"`
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
-			http.Error(w, "bad request", http.StatusBadRequest)
+		var req completeBody
+		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil || len(req.Results) == 0 {
+			http.Error(w, "bad request: results required", http.StatusBadRequest)
 			return
 		}
-		if err := c.Complete(r.Context(), r.PathValue("id"), req.Token, req.Result); err != nil {
+		if err := c.sched.completeBatch(r.PathValue("id"), req.Token, req.Results); err != nil {
 			if errors.Is(err, ErrStaleLease) {
 				http.Error(w, err.Error(), http.StatusConflict)
 			} else {
@@ -148,6 +149,12 @@ func Handler(c *Coordinator) http.Handler {
 	return mux
 }
 
+// completeBody is the wire form of POST /leases/{id}/complete.
+type completeBody struct {
+	Token   uint64      `json:"token"`
+	Results []RunResult `json:"results"`
+}
+
 func writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrTenantSaturated), errors.Is(err, ErrSaturated):
@@ -168,12 +175,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // Client talks to a sharp-serve coordinator over HTTP. It implements
 // WorkerAPI, so the same Worker type serves in-process and remote fleets.
+//
+// As a WorkerAPI it sends one complete request per lease: Complete holds
+// each run's result until the lease's last run is reported (or the worker
+// heartbeats the lease, which flushes what is held instead of a bare
+// heartbeat), then delivers them together. One Client may serve several
+// workers at once; what a worker holds is dropped when it asks for its
+// next lease, so only a worker that dies mid-lease and never asks again
+// leaves its one batch behind, until the Client itself goes.
 type Client struct {
 	// BaseURL is the coordinator endpoint, e.g. "http://127.0.0.1:8099".
 	BaseURL string
 	// HTTPClient is the transport (nil = a default client; deadlines come
 	// from the caller's context).
 	HTTPClient *http.Client
+
+	mu   sync.Mutex
+	held map[string]*heldLease // leases granted through this client, by ID
+}
+
+// heldLease is a granted lease's acknowledgements not yet sent.
+type heldLease struct {
+	worker  string
+	token   uint64
+	left    int         // runs not yet reported
+	results []RunResult // reported, not yet sent
 }
 
 // NewHTTPClient returns a coordinator client.
@@ -302,8 +328,18 @@ func (cl *Client) ResultCSV(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Lease implements WorkerAPI over HTTP.
+// Lease implements WorkerAPI over HTTP. A worker asks for its next lease
+// only once it is done with the last one, so whatever it still holds
+// unsent (a batch cut short by its death or a stale token) is dropped here.
 func (cl *Client) Lease(ctx context.Context, workerID string) (*Lease, error) {
+	cl.mu.Lock()
+	for id, h := range cl.held {
+		if h.worker == workerID {
+			delete(cl.held, id)
+		}
+	}
+	cl.mu.Unlock()
+
 	var l Lease
 	code, err := cl.doJSON(ctx, http.MethodPost, "/lease",
 		map[string]string{"worker": workerID}, &l)
@@ -313,22 +349,67 @@ func (cl *Client) Lease(ctx context.Context, workerID string) (*Lease, error) {
 	if code == http.StatusNoContent {
 		return nil, ErrNoWork
 	}
+	cl.mu.Lock()
+	if cl.held == nil {
+		cl.held = map[string]*heldLease{}
+	}
+	cl.held[l.ID] = &heldLease{worker: workerID, token: l.Token, left: len(l.Runs)}
+	cl.mu.Unlock()
 	return &l, nil
 }
 
-// Heartbeat implements WorkerAPI over HTTP.
+// Heartbeat implements WorkerAPI over HTTP. When results of the lease are
+// held, it sends them instead: a completion extends the lease as a
+// heartbeat does, and a slow lease shows its progress at every heartbeat.
 func (cl *Client) Heartbeat(ctx context.Context, leaseID string, token uint64) error {
+	cl.mu.Lock()
+	var batch []RunResult
+	if h := cl.held[leaseID]; h != nil && h.token == token {
+		batch, h.results = h.results, nil
+	}
+	cl.mu.Unlock()
+	if len(batch) > 0 {
+		err := cl.sendComplete(ctx, leaseID, token, batch)
+		if err != nil {
+			// The flushed results are lost to this lease; it will expire
+			// and its runs be recomputed. Later runs go out one by one.
+			cl.mu.Lock()
+			if h := cl.held[leaseID]; h != nil && h.token == token {
+				delete(cl.held, leaseID)
+			}
+			cl.mu.Unlock()
+		}
+		return err
+	}
 	_, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/heartbeat",
 		map[string]uint64{"token": token}, nil)
 	return err
 }
 
-// Complete implements WorkerAPI over HTTP.
+// Complete implements WorkerAPI over HTTP. For a lease granted through this
+// client it holds the result and returns nil until the lease's last run is
+// reported; that call sends every held result in one request and returns
+// the request's error (ErrStaleLease when the lease expired meanwhile).
+// Results of any other lease are sent at once.
 func (cl *Client) Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error {
-	body := struct {
-		Token  uint64    `json:"token"`
-		Result RunResult `json:"result"`
-	}{Token: token, Result: res}
-	_, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/complete", body, nil)
+	cl.mu.Lock()
+	h := cl.held[leaseID]
+	if h == nil || h.token != token {
+		cl.mu.Unlock()
+		return cl.sendComplete(ctx, leaseID, token, []RunResult{res})
+	}
+	h.results = append(h.results, res)
+	if h.left--; h.left > 0 {
+		cl.mu.Unlock()
+		return nil
+	}
+	delete(cl.held, leaseID)
+	cl.mu.Unlock()
+	return cl.sendComplete(ctx, leaseID, token, h.results)
+}
+
+func (cl *Client) sendComplete(ctx context.Context, leaseID string, token uint64, results []RunResult) error {
+	_, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/complete",
+		completeBody{Token: token, Results: results}, nil)
 	return err
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -14,10 +15,10 @@ import (
 
 // Sentinel errors of the lease protocol and admission control.
 var (
-	// ErrNoWork means the queue has nothing to lease right now.
+	// ErrNoWork means the queue had nothing to lease, even after waiting.
 	ErrNoWork = errors.New("service: no work available")
-	// ErrDraining means the coordinator is draining and issues no new
-	// leases (and accepts no new campaigns).
+	// ErrDraining means the coordinator is draining, closed, or killed and
+	// issues no new leases (and accepts no new campaigns).
 	ErrDraining = errors.New("service: draining")
 	// ErrStaleLease means the lease is gone or the fencing token does not
 	// match — the caller lost the lease (expiry reassigned its runs) and
@@ -69,6 +70,10 @@ type Lease struct {
 	Spec       CampaignSpec  `json:"spec"`
 	Runs       []int         `json:"runs"`
 	TTL        time.Duration `json:"ttl"`
+	// Live lists the campaigns still registered when the lease was granted
+	// (sorted). A worker may drop whatever it cached for any other campaign:
+	// a finished campaign is never leased again.
+	Live []string `json:"live,omitempty"`
 }
 
 // task is one measured run awaiting execution. The launcher's dispatch
@@ -128,11 +133,15 @@ type scheduler struct {
 	queue    []*task
 	leases   map[string]*lease
 	specs    map[string]CampaignSpec // campaigns currently registered
-	urgency  map[string]float64     // latest rule urgency per campaign
+	urgency  map[string]float64      // latest rule urgency per campaign
 	breakers map[string]*resilience.Breaker
 	seq      uint64 // lease id sequence
 	token    uint64 // fencing token sequence (strictly monotonic)
 	draining bool
+	// wake is closed (and cleared) when leasable work may have appeared or
+	// draining began; waiting Lease calls block on it. nil while no one
+	// waits, so enqueue allocates nothing on the busy path.
+	wake chan struct{}
 }
 
 func newScheduler(ttl time.Duration, batch int, now func() time.Time, tracer obs.Tracer, reg *obs.Registry, bcf resilience.BreakerConfig) *scheduler {
@@ -201,13 +210,7 @@ func (s *scheduler) unregister(campID string) {
 			delete(s.leases, id)
 		}
 	}
-	kept := s.queue[:0]
-	for _, t := range s.queue {
-		if t.campID != campID {
-			kept = append(kept, t)
-		}
-	}
-	s.queue = kept
+	s.purgeLocked(campID)
 }
 
 // enqueue adds one measured run to the tail of the global FIFO queue.
@@ -215,7 +218,16 @@ func (s *scheduler) enqueue(t *task) {
 	s.mu.Lock()
 	s.queue = append(s.queue, t)
 	s.gaugeLocked()
+	s.wakeLocked()
 	s.mu.Unlock()
+}
+
+// wakeLocked releases every Lease call waiting for work.
+func (s *scheduler) wakeLocked() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
 }
 
 // requeueFront puts reassigned tasks back at the FRONT of the queue in
@@ -254,58 +266,104 @@ func (s *scheduler) breakerLocked(worker string) *resilience.Breaker {
 	return b
 }
 
-// Lease grants the next batch of runs to a worker. The batch is up to
-// `batch` runs of ONE campaign (the one at the head of the queue): a single
-// fresh backend computes them all, amortizing the warm-up replay.
+// Lease grants the next batch of runs to a worker without waiting: ErrNoWork
+// when nothing is queued. The batch is up to `batch` runs of ONE campaign
+// (the one at the head of the queue): a single fresh backend computes them
+// all, amortizing the warm-up replay.
 func (s *scheduler) Lease(workerID string) (*Lease, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.leaseLocked(workerID)
+}
+
+// leaseWait is Lease that waits for work instead of answering ErrNoWork at
+// once. The wait ends when a run is enqueued or requeued after an expiry,
+// when draining begins, when ctx ends, or after maxWait (then ErrNoWork):
+// the bound keeps a long-polling HTTP request from outliving its usefulness.
+func (s *scheduler) leaseWait(ctx context.Context, workerID string, maxWait time.Duration) (*Lease, error) {
+	var timeout <-chan time.Time
+	for {
+		s.mu.Lock()
+		l, err := s.leaseLocked(workerID)
+		if !errors.Is(err, ErrNoWork) {
+			s.mu.Unlock()
+			return l, err
+		}
+		if s.wake == nil {
+			s.wake = make(chan struct{})
+		}
+		wake := s.wake
+		s.mu.Unlock()
+		if timeout == nil {
+			t := time.NewTimer(maxWait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			return nil, ErrNoWork
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// leaseLocked forms one lease (caller holds s.mu).
+func (s *scheduler) leaseLocked(workerID string) (*Lease, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	if !s.breakerLocked(workerID).Allow() {
-		return nil, ErrWorkerEvicted
-	}
-	// Drop abandoned tasks (their campaign was cancelled or their run
-	// already merged through another path) while finding the head.
-	kept := s.queue[:0]
 	var head *task
-	for _, t := range s.queue {
-		if t.isAbandoned() {
-			continue
-		}
-		if head == nil {
-			head = t
-		}
-		kept = append(kept, t)
-	}
-	s.queue = kept
-	if head == nil {
-		s.gaugeLocked()
-		return nil, ErrNoWork
-	}
-	if s.budgetAware {
-		// Serve the queued campaign furthest from convergence. Ties (and the
-		// common single-campaign case) keep FIFO order: only a strictly more
-		// urgent campaign displaces an earlier-queued one.
-		best := s.urgencyLocked(head.campID)
-		seen := map[string]bool{head.campID: true}
+	var spec CampaignSpec
+	for {
+		// Drop abandoned tasks (their campaign was cancelled or their run
+		// already merged through another path) while finding the head.
+		kept := s.queue[:0]
+		head = nil
 		for _, t := range s.queue {
-			if seen[t.campID] {
+			if t.isAbandoned() {
 				continue
 			}
-			seen[t.campID] = true
-			if u := s.urgencyLocked(t.campID); u > best {
-				best, head = u, t
+			if head == nil {
+				head = t
+			}
+			kept = append(kept, t)
+		}
+		s.queue = kept
+		if head == nil {
+			s.gaugeLocked()
+			return nil, ErrNoWork
+		}
+		if s.budgetAware {
+			// Serve the queued campaign furthest from convergence. Ties (and
+			// the common single-campaign case) keep FIFO order: only a
+			// strictly more urgent campaign displaces an earlier-queued one.
+			best := s.urgencyLocked(head.campID)
+			seen := map[string]bool{head.campID: true}
+			for _, t := range s.queue {
+				if seen[t.campID] {
+					continue
+				}
+				seen[t.campID] = true
+				if u := s.urgencyLocked(t.campID); u > best {
+					best, head = u, t
+				}
 			}
 		}
+		var ok bool
+		if spec, ok = s.specs[head.campID]; ok {
+			break
+		}
+		// The head's campaign is unregistered with tasks still queued: purge
+		// that campaign's tasks (and only those) and look again.
+		s.purgeLocked(head.campID)
 	}
-	spec, ok := s.specs[head.campID]
-	if !ok {
-		// Campaign unregistered with tasks still queued: purge and retry.
-		s.queue = s.queue[:0]
-		s.gaugeLocked()
-		return nil, ErrNoWork
+	// The breaker is consulted only when there is a batch to grant: a
+	// half-open breaker admits one probe, and that probe must be a real
+	// lease whose completion or expiry reports the outcome.
+	if !s.breakerLocked(workerID).Allow() {
+		return nil, ErrWorkerEvicted
 	}
 	// Collect up to batch tasks of the head campaign, preserving FIFO order
 	// of everything else.
@@ -336,6 +394,11 @@ func (s *scheduler) Lease(workerID string) (*Lease, error) {
 		runs = append(runs, t.run)
 	}
 	sort.Ints(runs)
+	live := make([]string, 0, len(s.specs))
+	for id := range s.specs {
+		live = append(live, id)
+	}
+	sort.Strings(live)
 	s.leases[l.id] = l
 	s.gaugeLocked()
 	obs.Emit(s.tracer, obs.EventLeaseGranted, map[string]any{
@@ -355,7 +418,19 @@ func (s *scheduler) Lease(workerID string) (*Lease, error) {
 		Spec:       spec,
 		Runs:       runs,
 		TTL:        s.ttl,
+		Live:       live,
 	}, nil
+}
+
+// purgeLocked drops every queued task of one campaign.
+func (s *scheduler) purgeLocked(campID string) {
+	kept := s.queue[:0]
+	for _, t := range s.queue {
+		if t.campID != campID {
+			kept = append(kept, t)
+		}
+	}
+	s.queue = kept
 }
 
 // Heartbeat extends a live lease's deadline. A stale token (or a lease
@@ -372,38 +447,60 @@ func (s *scheduler) Heartbeat(leaseID string, token uint64) error {
 	return nil
 }
 
-// Complete acknowledges one run of a lease. Fencing first: completions
-// carrying a stale token are rejected — their runs were already reassigned,
-// and accepting them could deliver a run twice. Accepted results are handed
-// to the waiting dispatch backend and count as worker successes.
+// Complete acknowledges one run of a lease.
 func (s *scheduler) Complete(leaseID string, token uint64, res RunResult) error {
+	return s.completeBatch(leaseID, token, []RunResult{res})
+}
+
+// completeBatch acknowledges runs of one lease under a single lock. Fencing
+// first: a stale token rejects the whole batch — its runs were already
+// reassigned, and accepting them could deliver a run twice. Each accepted
+// result is handed to its waiting dispatch backend and counts as a worker
+// success; a run the lease does not hold is skipped and reported.
+func (s *scheduler) completeBatch(leaseID string, token uint64, results []RunResult) error {
 	s.mu.Lock()
 	l, ok := s.leases[leaseID]
 	if !ok || l.token != token {
 		s.mu.Unlock()
 		return ErrStaleLease
 	}
-	t, ok := l.tasks[res.Run]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("service: lease %s does not hold run %d", leaseID, res.Run)
+	var err error
+	tasks := make([]*task, len(results)) // nil where a run is not held
+	accepted := 0
+	for i, res := range results {
+		t, ok := l.tasks[res.Run]
+		if !ok {
+			if err == nil {
+				err = fmt.Errorf("service: lease %s does not hold run %d", leaseID, res.Run)
+			}
+			continue
+		}
+		delete(l.tasks, res.Run)
+		tasks[i] = t
+		accepted++
 	}
-	delete(l.tasks, res.Run)
-	l.deadline = s.now().Add(s.ttl) // progress is the best heartbeat
-	if len(l.tasks) == 0 {
-		delete(s.leases, leaseID)
+	if accepted > 0 {
+		l.deadline = s.now().Add(s.ttl) // progress is the best heartbeat
+		if len(l.tasks) == 0 {
+			delete(s.leases, leaseID)
+		}
+		s.breakerLocked(l.worker).Success()
 	}
-	s.breakerLocked(l.worker).Success()
 	s.mu.Unlock()
 
 	// Deliver outside the lock. The buffer of 1 plus fencing (exactly one
 	// live lease ever holds a task) makes this non-blocking; the default
 	// arm is pure defense.
-	select {
-	case t.result <- res:
-	default:
+	for i, t := range tasks {
+		if t == nil {
+			continue
+		}
+		select {
+		case t.result <- results[i]:
+		default:
+		}
 	}
-	return nil
+	return err
 }
 
 // expire sweeps the lease table: every lease past its deadline is revoked,
@@ -433,6 +530,9 @@ func (s *scheduler) expire() int {
 		}
 		sort.Ints(runs)
 		s.requeueFrontLocked(orphans)
+		if len(orphans) > 0 {
+			s.wakeLocked()
+		}
 		obs.Emit(s.tracer, obs.EventLeaseExpired, map[string]any{
 			"lease":    id,
 			"worker":   l.worker,
@@ -457,11 +557,13 @@ func (s *scheduler) expire() int {
 	return n
 }
 
-// setDraining stops lease issuance; in-flight leases may still heartbeat
-// and complete, which is exactly what graceful drain wants.
+// setDraining stops lease issuance and releases waiting Lease calls;
+// in-flight leases may still heartbeat and complete, which is exactly what
+// graceful drain wants.
 func (s *scheduler) setDraining(on bool) {
 	s.mu.Lock()
 	s.draining = on
+	s.wakeLocked()
 	s.mu.Unlock()
 }
 

@@ -546,18 +546,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Workers connected over HTTP (Client implements WorkerAPI).
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
-	spawnWorker(wctx, &Worker{ID: "hw1", API: cl})
-	spawnWorker(wctx, &Worker{ID: "hw2", API: cl})
-
 	id, err := cl.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Quota: the tenant's second concurrent campaign is 429 + Retry-After.
+	// No worker runs yet, so the first campaign is certainly still active.
 	resp, err := http.Post(srv.URL+"/campaigns", "application/json",
 		strings.NewReader(`{"tenant":"acme","workload":"hotspot","machine":"machine1"}`))
 	if err != nil {
@@ -570,6 +565,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
 	}
+
+	// Workers connected over HTTP (Client implements WorkerAPI).
+	wctx, wcancel := context.WithCancel(context.Background())
+	defer wcancel()
+	spawnWorker(wctx, &Worker{ID: "hw1", API: cl})
+	spawnWorker(wctx, &Worker{ID: "hw2", API: cl})
 
 	st, err := cl.WaitDone(ctx, id, 5*time.Millisecond)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,13 +17,22 @@ import (
 // (cmd/sharp-serve fleets) — same protocol, same semantics, one worker
 // implementation for both.
 type WorkerAPI interface {
-	// Lease requests a batch of runs. ErrNoWork when the queue is empty,
-	// ErrDraining during drain, ErrWorkerEvicted while the worker's breaker
-	// is open.
+	// Lease requests a batch of runs. With the queue empty it waits for
+	// work (a long poll, bounded by the coordinator's JanitorInterval) and
+	// only then answers ErrNoWork, so callers re-poll at once. ErrDraining
+	// once the coordinator drains, closes or dies; ErrWorkerEvicted while
+	// the worker's breaker is open.
 	Lease(ctx context.Context, workerID string) (*Lease, error)
 	// Heartbeat keeps a lease alive while its runs compute.
 	Heartbeat(ctx context.Context, leaseID string, token uint64) error
-	// Complete delivers one finished run of a lease.
+	// Complete reports one finished run of a lease. An implementation may
+	// hold the acknowledgement and deliver it later with the lease's other
+	// runs (the HTTP Client sends one request per lease, on its last run or
+	// at a heartbeat), so a nil error means "accepted for delivery": the
+	// error of a held acknowledgement — ErrStaleLease, say — surfaces from
+	// the Complete or Heartbeat call that sends it. Fencing makes holding
+	// safe: acknowledgements that never arrive leave the lease to expire,
+	// and its runs are recomputed byte-identically.
 	Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error
 }
 
@@ -41,7 +51,9 @@ type Worker struct {
 	ID string
 	// API is the coordinator connection (in-process or HTTP).
 	API WorkerAPI
-	// Poll is the idle wait between lease attempts (default 5ms).
+	// Poll is the back-off after a refused (draining, evicted) or failed
+	// lease request (default 5ms). An empty answer is re-polled at once:
+	// Lease has already waited for work.
 	Poll time.Duration
 	// HeartbeatEvery is the heartbeat cadence while computing a batch
 	// (default TTL/3, per lease).
@@ -77,13 +89,13 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 			continue // hot: ask again immediately
-		case errors.Is(err, ErrNoWork), errors.Is(err, ErrDraining), errors.Is(err, ErrWorkerEvicted):
-			// Nothing to do (or not allowed to): back off and re-poll.
+		case errors.Is(err, ErrNoWork):
+			continue // the lease call already waited for work
 		case ctx.Err() != nil:
 			return nil
-		default:
-			// Transient transport error: back off and re-poll.
 		}
+		// Refused (draining, evicted) or a transient transport error: back
+		// off and re-poll.
 		select {
 		case <-ctx.Done():
 			return nil
@@ -118,6 +130,7 @@ func (w *Worker) serve(ctx context.Context, l *Lease) error {
 		}
 	}()
 
+	w.forgetFinished(l)
 	b, err := w.backendFor(ctx, l.CampaignID, l.Spec)
 	if err != nil {
 		// Can't build the backend (bad spec should have been rejected at
@@ -156,11 +169,27 @@ func (w *Worker) serve(ctx context.Context, l *Lease) error {
 	return nil
 }
 
-// Completed returns how many runs this worker has successfully acknowledged.
+// Completed returns how many runs this worker has reported through a
+// Complete call that returned nil (over HTTP, some of them may still be
+// held acknowledgements that die with the worker).
 func (w *Worker) Completed() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.completed
+}
+
+// forgetFinished drops the cached backends of campaigns the coordinator no
+// longer has registered (neither in l.Live nor l's own campaign): they will
+// never be leased again, and each holds its whole synthesized draw stream.
+func (w *Worker) forgetFinished(l *Lease) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for id, b := range w.backends {
+		if id != l.CampaignID && !slices.Contains(l.Live, id) {
+			b.Close()
+			delete(w.backends, id)
+		}
+	}
 }
 
 // backendFor returns the campaign's warmed deterministic backend, building
